@@ -25,9 +25,32 @@ var (
 	guardSum = make([]float64, len(guardCenters))
 	guardCnt = make([]int, len(guardCenters))
 
+	// A flow solver part-way through the assignment, so a Dijkstra run
+	// meets assigned points, loaded centers and the sink's reverse edges.
+	guardMCF = func() *mcfSolver {
+		s := newMCFSolver(guardPts, guardCenters, 9)
+		for a := 0; a < 10 && s.dijkstra(); a++ {
+			s.augment()
+		}
+		return s
+	}()
+	// An annealing state over a lopsided split.
+	guardSA = func() *saState {
+		assign := make([]int, len(guardPts))
+		for i := range assign {
+			assign[i] = i % 3 / 2
+		}
+		caps := make([]float64, len(guardPts))
+		for i := range caps {
+			caps[i] = 1.5
+		}
+		return newSAState(guardPts, caps, len(guardCenters), assign, DefaultSAOptions(1))
+	}()
+
 	guardSinkB bool
 	guardSinkP geom.Point
 	guardSinkF float64
+	guardSinkI int
 )
 
 // allocFreeGuards pins every // hot: alloc-free kernel in this package at
@@ -43,6 +66,19 @@ var allocFreeGuards = map[string]func(){
 	},
 	"silhouetteOf": func() {
 		guardSinkF = silhouetteOf(guardPts, guardAssign, len(guardCenters), 3, guardSum, guardCnt)
+	},
+	"mcfSolver.dijkstra": func() {
+		guardSinkB = guardMCF.dijkstra()
+	},
+	// A move invalidates two clusters' memo entries, so the guards clear
+	// one before each call: the recompute path is measured too.
+	"saState.Cost": func() {
+		guardSA.fresh[0] = false
+		guardSinkF = guardSA.Cost()
+	},
+	"saState.pickCostlyNet": func() {
+		guardSA.fresh[1] = false
+		guardSinkI = guardSA.pickCostlyNet(0.6)
 	},
 }
 

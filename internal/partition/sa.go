@@ -3,7 +3,6 @@ package partition
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"sllt/internal/geom"
 	"sllt/internal/geom/index"
@@ -74,34 +73,47 @@ type clusterState struct {
 	bbox    geom.Rect
 	cx, cy  float64 // coordinate sums for the centroid
 
-	// Memoized per-cluster geometry, recomputed lazily from the member set
-	// after a membership change. Both derive deterministically from the
-	// sorted members, so a cached value is bit-identical to a recompute —
-	// the caches change wall clock, never results.
+	// Memoized per-cluster geometry, recomputed lazily after a membership
+	// change. The hull derives from the sorted members, the radius from
+	// them and the centroid sums, so a cached value is bit-identical to a
+	// recompute — the caches change wall clock, never results.
 	hull   []geom.Point // convex hull of member locations; nil when stale
 	radius float64      // unit: um // netDelayProxy value; < 0 when stale
 }
 
-// insert adds i to the sorted member set (no-op if present).
+// insert adds i to the sorted member set.
 func (c *clusterState) insert(i int) {
-	pos := sort.SearchInts(c.members, i)
-	if pos < len(c.members) && c.members[pos] == i {
-		return
-	}
-	c.members = append(c.members, 0)
-	copy(c.members[pos+1:], c.members[pos:])
-	c.members[pos] = i
+	c.members = insertSorted(c.members, i)
 	c.hull, c.radius = nil, -1
 }
 
-// remove deletes i from the sorted member set (no-op if absent).
+// remove deletes i from the sorted member set.
 func (c *clusterState) remove(i int) {
-	pos := sort.SearchInts(c.members, i)
-	if pos >= len(c.members) || c.members[pos] != i {
-		return
-	}
-	c.members = append(c.members[:pos], c.members[pos+1:]...)
+	c.members = removeSorted(c.members, i)
 	c.hull, c.radius = nil, -1
+}
+
+// geomMemo is a cluster's memoized geometry, saved before a trial move so a
+// rejected move can put it back instead of recomputing it.
+type geomMemo struct {
+	hull   []geom.Point
+	radius float64
+	cx, cy float64
+}
+
+func (c *clusterState) save() geomMemo {
+	return geomMemo{hull: c.hull, radius: c.radius, cx: c.cx, cy: c.cy}
+}
+
+// restore reinstates m after a move and its undo returned the member set
+// bit for bit. The hull depends on the members alone; the radius also on
+// the centroid sums, which the subtract-then-add round trip can perturb,
+// so it is kept only when they came back bit-equal.
+func (c *clusterState) restore(m geomMemo) {
+	c.hull = m.hull
+	if c.cx == m.cx && c.cy == m.cy {
+		c.radius = m.radius
+	}
 }
 
 // saState is the annealing state over a whole partition.
@@ -115,11 +127,24 @@ type saState struct {
 	// large levels; nil below saGridThreshold. Moves change only assign, so
 	// the index never needs rebuilding.
 	grid *index.Grid
+
+	// Per-cluster memo of the terms Cost and pickCostlyNet read on every
+	// move: net cap, net wirelength and squared perNetCost, valid while
+	// fresh[j]. addTo and removeFrom clear the touched cluster, so a move
+	// recomputes two clusters' terms rather than all k. Each memoized value
+	// is what a recompute would return, bit for bit.
+	capM, wlM, sqM []float64
+	fresh          []bool
+	// Scratch reused by Cost across moves.
+	capV, tV []float64
 }
 
 func newSAState(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) *saState {
 	st := &saState{pts: pts, caps: caps, assign: append([]int(nil), assign...), opt: opt}
 	st.clusters = make([]*clusterState, k)
+	st.capM, st.wlM, st.sqM = make([]float64, k), make([]float64, k), make([]float64, k)
+	st.fresh = make([]bool, k)
+	st.capV, st.tV = make([]float64, 0, k), make([]float64, 0, k)
 	for j := range st.clusters {
 		st.clusters[j] = &clusterState{bbox: geom.EmptyRect(), radius: -1}
 	}
@@ -141,6 +166,7 @@ func (st *saState) addTo(j, i int) {
 	c.cx += st.pts[i].X
 	c.cy += st.pts[i].Y
 	st.assign[i] = j
+	st.fresh[j] = false
 }
 
 func (st *saState) removeFrom(j, i int) {
@@ -149,11 +175,35 @@ func (st *saState) removeFrom(j, i int) {
 	c.capSum -= st.caps[i]
 	c.cx -= st.pts[i].X
 	c.cy -= st.pts[i].Y
+	st.fresh[j] = false
 	// bbox must be rebuilt after removal.
 	c.bbox = geom.EmptyRect()
 	for _, m := range c.members {
 		c.bbox = c.bbox.Grow(st.pts[m])
 	}
+}
+
+// saMove is one trial move and the geometry its undo reinstates.
+type saMove struct {
+	i, from, to    int
+	fromGeo, toGeo geomMemo
+}
+
+// move takes instance i from cluster from to cluster to.
+func (st *saState) move(i, from, to int) saMove {
+	mv := saMove{i: i, from: from, to: to, fromGeo: st.clusters[from].save(), toGeo: st.clusters[to].save()}
+	st.removeFrom(from, i)
+	st.addTo(to, i)
+	return mv
+}
+
+// undo reverses a rejected move. Both member sets come back as they were,
+// so their saved geometry is reinstated rather than recomputed.
+func (st *saState) undo(mv saMove) {
+	st.removeFrom(mv.to, mv.i)
+	st.addTo(mv.from, mv.i)
+	st.clusters[mv.from].restore(mv.fromGeo)
+	st.clusters[mv.to].restore(mv.toGeo)
 }
 
 // netCap estimates a cluster net's total capacitance: pins plus wire at the
@@ -194,24 +244,40 @@ func (st *saState) netDelayProxy(j int) float64 {
 	return r
 }
 
+// refresh recomputes cluster j's memoized cost terms if a move cleared them.
+func (st *saState) refresh(j int) {
+	if st.fresh[j] {
+		return
+	}
+	st.capM[j] = st.netCap(j)
+	st.wlM[j] = st.netWL(j)
+	c := st.perNetCost(j)
+	// Square to sharpen toward the worst nets.
+	st.sqM[j] = c * c
+	st.fresh[j] = true
+}
+
 // Cost evaluates the paper's partition metric over the current state:
-// p·σ(Cap) + q·σ(T) plus capacitance-unified constraint violations.
+// p·σ(Cap) + q·σ(T) plus capacitance-unified constraint violations. The
+// per-cluster terms come from the memo; the sums run over the clusters in
+// index order as a full recompute would.
+//
+// hot: alloc-free
 func (st *saState) Cost() float64 {
-	k := len(st.clusters)
-	capV := make([]float64, 0, k)
-	tV := make([]float64, 0, k)
+	capV, tV := st.capV[:0], st.tV[:0]
 	var viol float64
 	for j := range st.clusters {
 		if len(st.clusters[j].members) == 0 {
 			continue
 		}
-		nc := st.netCap(j)
+		st.refresh(j)
+		nc := st.capM[j]
 		capV = append(capV, nc)
 		tV = append(tV, st.netDelayProxy(j))
 		if nc > st.opt.MaxCap {
 			viol += nc - st.opt.MaxCap
 		}
-		if wl := st.netWL(j); wl > st.opt.MaxWL {
+		if wl := st.wlM[j]; wl > st.opt.MaxWL {
 			viol += st.opt.CPerUm * (wl - st.opt.MaxWL)
 		}
 		if st.opt.MaxFanout > 0 && len(st.clusters[j].members) > st.opt.MaxFanout {
@@ -219,6 +285,7 @@ func (st *saState) Cost() float64 {
 			viol += float64(len(st.clusters[j].members)-st.opt.MaxFanout) * 2
 		}
 	}
+	st.capV, st.tV = capV, tV
 	return st.opt.P*variance(capV) + st.opt.Q*variance(tV) + 4*viol
 }
 
@@ -276,7 +343,10 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 	cool := math.Pow(1e-3, 1/float64(opt.Iters)) // reach 0.1% of T0 at the end
 
 	for it := 0; it < opt.Iters; it++ {
-		j := st.pickCostlyNet(rng)
+		// The draw is taken even when no net has positive cost and the
+		// search stops; nothing reads rng after that, so the stream is
+		// unchanged where it matters.
+		j := st.pickCostlyNet(rng.Float64())
 		if j < 0 {
 			break
 		}
@@ -294,8 +364,7 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 		if opt.Kernel != nil {
 			opt.Kernel.SAProposed.Add(1)
 		}
-		st.removeFrom(j, i)
-		st.addTo(to, i)
+		mv := st.move(i, j, to)
 		next := st.Cost()
 		delta := next - cur
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
@@ -311,32 +380,30 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 				copy(bestAssign, st.assign)
 			}
 		} else {
-			// Reject: undo.
-			st.removeFrom(to, i)
-			st.addTo(j, i)
+			st.undo(mv)
 		}
 		temp *= cool
 	}
 	return bestAssign
 }
 
-// pickCostlyNet samples nets with probability weighted by cost (greedy in
-// expectation — the paper's observation that descending net cost order
-// reduces global cost efficiently — but still stochastic for annealing).
-func (st *saState) pickCostlyNet(rng *rand.Rand) int {
+// pickCostlyNet samples nets with probability weighted by squared cost
+// (greedy in expectation — the paper's observation that descending net cost
+// order reduces global cost efficiently — but still stochastic for
+// annealing). u is the uniform [0,1) draw that picks the net.
+//
+// hot: alloc-free
+func (st *saState) pickCostlyNet(u float64) int {
 	var total float64
-	costs := make([]float64, len(st.clusters))
 	for j := range st.clusters {
-		c := st.perNetCost(j)
-		// Square to sharpen toward the worst nets.
-		costs[j] = c * c
-		total += costs[j]
+		st.refresh(j)
+		total += st.sqM[j]
 	}
 	if total <= 0 {
 		return -1
 	}
-	r := rng.Float64() * total
-	for j, c := range costs {
+	r := u * total
+	for j, c := range st.sqM {
 		r -= c
 		if r <= 0 {
 			return j

@@ -28,13 +28,16 @@ func (s State) terminal() bool {
 // the runner goroutine and read by status handlers.
 type Job struct {
 	id     string
-	req    *JobRequest
 	ctx    context.Context    // child of the server context; DELETE cancels it
 	cancel context.CancelFunc
 	events *eventLog
 	done   chan struct{} // closed exactly once, at the terminal transition
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// req is the submitted request — LEF, DEF and Liberty text, up to the
+	// body limit. The terminal transition drops it, so a retained job
+	// costs its results, not its inputs.
+	req         *JobRequest
 	state       State
 	errMsg      string
 	submittedNs int64 // unit: ns
@@ -81,6 +84,14 @@ func (j *Job) status() JobStatus {
 	}
 }
 
+// request returns the job's request for a runner to execute, or nil when
+// the job is already terminal and the request released.
+func (j *Job) request() *JobRequest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.req
+}
+
 // setRunning marks the claim by a runner and records the worker budget.
 func (j *Job) setRunning(atNs int64, workers int) {
 	j.mu.Lock()
@@ -105,6 +116,7 @@ func (j *Job) finish(state State, errMsg string, atNs int64) bool {
 	j.state = state
 	j.errMsg = errMsg
 	j.doneNs = atNs
+	j.req = nil
 	j.mu.Unlock()
 	j.events.appendState(j.id, state, errMsg, atNs)
 	j.events.close()

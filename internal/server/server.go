@@ -264,15 +264,19 @@ func (s *Server) jobWorkers(req *JobRequest) int {
 
 // runJob executes one claimed job and drives its terminal transition.
 func (s *Server) runJob(j *Job) {
+	req := j.request()
+	if req == nil {
+		return // already terminal: its request is released and its slot too
+	}
 	if err := j.ctx.Err(); err != nil {
 		// Cancelled (or server-closed) while queued: never ran.
 		s.finishJob(j, StateCancelled, err.Error())
 		return
 	}
-	workers := s.jobWorkers(j.req)
+	workers := s.jobWorkers(req)
 	j.setRunning(s.clock.Now(), workers)
 	rec := obs.NewWithSink(s.clock, jobSink{log: j.events})
-	res, err := s.flow(j.ctx, j.req, workers, rec, s.store)
+	res, err := s.flow(j.ctx, req, workers, rec, s.store)
 	switch {
 	case err == nil:
 		j.setResult(res)
