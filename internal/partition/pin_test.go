@@ -105,3 +105,30 @@ func TestTable4FingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// pinnedScale holds the SHA-256 of the tree.Fingerprint of a 20k-sink
+// scale-shape placement (Insts 2n, FFs n, Util 0.62, generator seed 1)
+// under the scale tier's options: SA off, one k-means restart. That path
+// runs greedy overflow repair at its large levels and salt.Reroute in every
+// cluster.
+const pinnedScale = "5647d813797ae1faaad17fd06acac948381c35d01e69590cc1232f241c53b119"
+
+func TestScaleFingerprintPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full flow on a 20k-sink placement")
+	}
+	const n = 20_000
+	spec := designgen.Spec{Name: "scale_20000", Insts: 2 * n, FFs: n, Util: 0.62}
+	opts := cts.DefaultOptions()
+	opts.UseSA = false
+	opts.SAIters = 0
+	opts.KMeansRestarts = 1
+	res, err := cts.Run(designgen.Generate(spec, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(tree.Fingerprint(res.Tree)))
+	if got := hex.EncodeToString(sum[:]); got != pinnedScale {
+		t.Errorf("fingerprint digest %s, pinned %s", got, pinnedScale)
+	}
+}
