@@ -47,6 +47,10 @@ var (
 		return newSAState(guardPts, caps, len(guardCenters), assign, DefaultSAOptions(1))
 	}()
 
+	// A drained cluster's candidates: one with no open alternative, and
+	// two tied at the minimum regret.
+	guardRepair = []repairCand{{0, 1, 3}, {1, -1, 0}, {2, 0, 2}, {3, 1, 2}, {4, 0, 5}}
+
 	guardSinkB bool
 	guardSinkP geom.Point
 	guardSinkF float64
@@ -69,6 +73,9 @@ var allocFreeGuards = map[string]func(){
 	},
 	"mcfSolver.dijkstra": func() {
 		guardSinkB = guardMCF.dijkstra()
+	},
+	"pickMove": func() {
+		guardSinkI, guardSinkB = pickMove(guardRepair)
 	},
 	// A move invalidates two clusters' memo entries, so the guards clear
 	// one before each call: the recompute path is measured too.
